@@ -83,25 +83,50 @@ int repro_solve(
         }
     }
 
-    /* ---- signature dedup (first-occurrence order) ---- */
+    /* ---- signature dedup (first-occurrence order) ----
+     * Open-addressing hash table keyed by each group's sorted pair array
+     * (linear probing, load factor <= 1/2).  Groups are visited in order
+     * and a new signature takes the next id, so ids keep the
+     * first-occurrence order of the python dict in _solve. */
     static _Thread_local int sig_rep[CAP_STREAMS];   /* representative grp */
     static _Thread_local int64_t sig_weight[CAP_STREAMS];
+    static _Thread_local uint64_t sig_hash[CAP_STREAMS];
     static _Thread_local int sig_of_group[CAP_STREAMS];
+    static _Thread_local int sig_table[2 * CAP_STREAMS]; /* sid + 1; 0 empty */
+    int tsize = 16;
+    while (tsize < 2 * G) tsize <<= 1;
+    memset(sig_table, 0, (size_t)tsize * sizeof(int));
     int S = 0;
     for (int g = 0; g < G; g++) {
         int len = grp_len[g];
         const int64_t *a = mem_pool + grp_off[g];
-        int sid = -1;
-        for (int s = 0; s < S; s++) {
-            int rg = sig_rep[s];
-            if (grp_len[rg] == len &&
-                memcmp(mem_pool + grp_off[rg], a,
-                       (size_t)len * sizeof(int64_t)) == 0) {
-                sid = s;
+        uint64_t h = (uint64_t)len * 0x9e3779b97f4a7c15ULL;
+        for (int k = 0; k < len; k++) {
+            h ^= (uint64_t)a[k];
+            h *= 0xff51afd7ed558ccdULL;
+            h ^= h >> 32;
+        }
+        int slot = (int)(h & (uint64_t)(tsize - 1));
+        int sid;
+        for (;;) {
+            int e = sig_table[slot];
+            if (e == 0) {
+                sid = S++;
+                sig_table[slot] = sid + 1;
+                sig_rep[sid] = g;
+                sig_weight[sid] = 0;
+                sig_hash[sid] = h;
                 break;
             }
+            int rg = sig_rep[e - 1];
+            if (sig_hash[e - 1] == h && grp_len[rg] == len &&
+                memcmp(mem_pool + grp_off[rg], a,
+                       (size_t)len * sizeof(int64_t)) == 0) {
+                sid = e - 1;
+                break;
+            }
+            slot = (slot + 1) & (tsize - 1);
         }
-        if (sid < 0) { sid = S++; sig_rep[sid] = g; sig_weight[sid] = 0; }
         sig_weight[sid]++;
         sig_of_group[g] = sid;
     }

@@ -164,8 +164,9 @@ class NumaTopology:
         order is deterministic.
         """
         self._check_socket(socket)
-        row = self.distance[socket]
-        return sorted(range(self.n_sockets), key=lambda s: (row[s], s))
+        row = self.distance[socket].tolist()
+        # sorted() is stable and ids ascend, so equal distances keep id order.
+        return sorted(range(self.n_sockets), key=row.__getitem__)
 
     def max_distance(self) -> float:
         """Largest distance in the matrix (machine 'diameter')."""

@@ -42,6 +42,7 @@ byte-identical runs.  The replay oracle
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -283,7 +284,10 @@ class FlatEngine:
         self.n_cores = nc
         self.n_nodes = nn
         self.core_socket = [topo.socket_of_core(c) for c in range(nc)]
-        self.busy = [False] * nc
+        #: Occupied slots, ascending.  Invariant: exactly the slots whose
+        #: ``slot_rt`` is set; every other slot's stream state is clean, so
+        #: the per-event passes walk these instead of all ``n_cores``.
+        self.busy_slots: list[int] = []
         self.slot_rt: list[_Running | None] = [None] * nc
         self.c_rem = [0.0] * nc
         self.c_deadline = [0.0] * nc
@@ -299,6 +303,8 @@ class FlatEngine:
         self.slot_socks: list[list[int]] = [[] for _ in range(nc)]
         self.valid = True
         self.stream_dep_min = _INF
+        #: Earliest finish deadline of the open epoch (``next_completion``).
+        self.fin_min = _INF
         #: Earliest done-deadline of the open epoch; ``completed`` returns
         #: [] without touching the arrays while ``now`` is before it.
         self.done_min = _INF
@@ -309,7 +315,6 @@ class FlatEngine:
         self._ep_nds: list[int] = []
         self._ep_rates: list[float] = []
         self._ep_d: list[float] = []
-        self._ep_busy: list[int] = []
         self.check = _check_cache_env()
 
     # -- membership ----------------------------------------------------
@@ -332,7 +337,7 @@ class FlatEngine:
         self.slot_nodes[slot] = nodes
         self.slot_cores[slot] = [slot] * len(nodes)
         self.slot_socks[slot] = [self.core_socket[slot]] * len(nodes)
-        self.busy[slot] = True
+        insort(self.busy_slots, slot)
         self.slot_rt[slot] = rt
         self.c_rem[slot] = rt.compute_remaining
         self.valid = False
@@ -347,8 +352,8 @@ class FlatEngine:
         streams = rt.streams
         for n in streams:
             streams[n] = row_b[n]
-        rt.n_active = sum(self.s_active[slot])
-        self.busy[slot] = False
+        rt.n_active = len(self.slot_nodes[slot])
+        self.busy_slots.remove(slot)
         self.slot_rt[slot] = None
         self.s_active[slot] = [False] * self.n_nodes
         self.s_bytes[slot] = [0.0] * self.n_nodes
@@ -359,14 +364,15 @@ class FlatEngine:
 
     def clear(self) -> None:
         nn = self.n_nodes
-        for slot in range(self.n_cores):
-            self.busy[slot] = False
+        for slot in self.busy_slots:
+            self.slot_rt[slot] = None
             self.s_active[slot] = [False] * nn
             self.s_bytes[slot] = [0.0] * nn
             self.slot_nodes[slot] = []
             self.slot_cores[slot] = []
             self.slot_socks[slot] = []
-        self.slot_rt = [None] * self.n_cores
+        self.busy_slots = []
+        self.fin_min = self.done_min = _INF
         self.valid = False
 
     # -- epoch transitions ---------------------------------------------
@@ -397,7 +403,7 @@ class FlatEngine:
                     self.slot_nodes[c].remove(n)
                     self.slot_cores[c].pop()
                     self.slot_socks[c].pop()
-        busy_idx = self._ep_busy
+        busy_idx = self.busy_slots
         if busy_idx:
             speed_arr = sim._core_speed
             c_deadline = self.c_deadline
@@ -434,14 +440,11 @@ class FlatEngine:
             return
         sim = self.sim
         now = sim.now
-        nc = self.n_cores
         fin = self.fin_dl
         done = self.done_dl
-        busy = self.busy
-        for s in range(nc):
-            fin[s] = _INF
-            done[s] = _INF
-        busy_idx = [s for s in range(nc) if busy[s]]
+        # Only busy slots get deadlines; the stale entries of idle slots
+        # are never read (every query below walks the busy list).
+        busy_idx = self.busy_slots
         dep_min = _INF
         ep_cores: list[int] = []
         ep_nds: list[int] = []
@@ -511,9 +514,12 @@ class FlatEngine:
         self._ep_nds = ep_nds
         self._ep_rates = ep_rates
         self._ep_d = ep_d
-        self._ep_busy = busy_idx
         self.stream_dep_min = dep_min
-        self.done_min = min(done)
+        if busy_idx:
+            self.fin_min = min([fin[s] for s in busy_idx])
+            self.done_min = min([done[s] for s in busy_idx])
+        else:
+            self.fin_min = self.done_min = _INF
         self.valid = True
 
     def advance(self) -> None:
@@ -522,7 +528,7 @@ class FlatEngine:
 
     # -- queries --------------------------------------------------------
     def next_completion(self) -> float:
-        return min(self.fin_dl)
+        return self.fin_min
 
     def completed(self) -> list[_Running]:
         now = self.sim.now
@@ -531,17 +537,14 @@ class FlatEngine:
             if self.done_min > now:
                 return []
             done_dl = self.done_dl
-            done = [
-                slot_rt[s] for s in range(self.n_cores) if done_dl[s] <= now
-            ]
+            done = [slot_rt[s] for s in self.busy_slots if done_dl[s] <= now]
         else:
-            busy = self.busy
             c_rem = self.c_rem
-            s_active = self.s_active
+            slot_nodes = self.slot_nodes
             done = [
                 slot_rt[s]
-                for s in range(self.n_cores)
-                if busy[s] and c_rem[s] <= _EPS and not any(s_active[s])
+                for s in self.busy_slots
+                if c_rem[s] <= _EPS and not slot_nodes[s]
             ]
         if not done:
             return []
@@ -552,10 +555,7 @@ class FlatEngine:
         slot = rt.core
         if self.valid:
             return self.done_dl[slot] <= self.sim.now
-        return (
-            self.c_rem[slot] <= _EPS
-            and not any(self.s_active[slot])
-        )
+        return self.c_rem[slot] <= _EPS and not self.slot_nodes[slot]
 
 
 #: Engine registry for ``Simulator(engine=...)``.

@@ -164,6 +164,25 @@ class Simulator:
             self.steal_distance = 0.0
         else:
             raise SimulationError(f"unknown steal policy {steal!r}")
+        # Steal tiers, fixed for the run: thief socket -> the victims it may
+        # probe, distance-ordered and cut at ``steal_distance``, each with
+        # its core list.  The per-event scan then does no sorting or range
+        # checks.
+        cores_of = [
+            list(topology.cores_of_socket(v)) for v in topology.sockets()
+        ]
+        dist = topology.distance.tolist()
+        self._steal_tiers: list[list[tuple[int, list[int]]]] = []
+        for s in topology.sockets():
+            tier = []
+            if self.steal_enabled:
+                for victim in topology.sockets_by_distance(s):
+                    if victim == s:
+                        continue
+                    if dist[s][victim] > self.steal_distance:
+                        break  # distance-ordered: all further victims fail
+                    tier.append((victim, cores_of[victim]))
+            self._steal_tiers.append(tier)
         self.seed = int(seed)
         if not 0.0 <= duration_jitter < 1.0:
             raise SimulationError("duration_jitter must be in [0, 1)")
@@ -881,19 +900,18 @@ class Simulator:
 
     def _try_steal(self) -> bool:
         """One round of distance-aware stealing; True if anything moved."""
+        if not (any(self.socket_queues) or any(self.core_queues)):
+            return False  # nothing queued anywhere: no victim can yield
         stole = False
-        for s in range(self.n_sockets):
-            if not self.idle_cores[s]:
+        idle_cores = self.idle_cores
+        for s, tier in enumerate(self._steal_tiers):
+            if not idle_cores[s]:
                 continue
-            for victim in self.topology.sockets_by_distance(s):
-                if victim == s:
-                    continue
-                if self.topology.dist(s, victim) > self.steal_distance:
-                    break  # victims are distance-ordered; all further ones fail
-                task = self._pop_victim_work(victim)
+            for victim, cores in tier:
+                task = self._pop_victim_work(victim, cores)
                 if task is None:
                     continue
-                core = self.idle_cores[s].pop()
+                core = idle_cores[s].pop()
                 self.steals += 1
                 if self.obs is not None:
                     self.obs.emit(
@@ -907,12 +925,13 @@ class Simulator:
                 break
         return stole
 
-    def _pop_victim_work(self, victim: int) -> Task | None:
+    def _pop_victim_work(self, victim: int, cores: list[int]) -> Task | None:
         if self.socket_queues[victim]:
             return self.socket_queues[victim].popleft()
-        for core in self.topology.cores_of_socket(victim):
-            if self.core_queues[core]:
-                return self.core_queues[core].popleft()
+        core_queues = self.core_queues
+        for core in cores:
+            if core_queues[core]:
+                return core_queues[core].popleft()
         return None
 
     # ------------------------------------------------------------------

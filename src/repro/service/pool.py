@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -73,7 +74,7 @@ class Outcome:
 
 
 class _Worker:
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "_kill_lock", "_killed")
 
     def __init__(self, ctx) -> None:
         parent, child = ctx.Pipe()
@@ -83,6 +84,8 @@ class _Worker:
         self.process.start()
         child.close()
         self.conn = parent
+        self._kill_lock = threading.Lock()
+        self._killed = False
 
     @property
     def pid(self) -> int:
@@ -102,10 +105,16 @@ class _Worker:
         self.kill()
 
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        self.conn.close()
+        """Kill and close, once: ``stop()`` on the service thread and a
+        job thread noticing the dead pipe may both get here."""
+        with self._kill_lock:
+            if self._killed:
+                return
+            self._killed = True
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=5.0)
+            self.conn.close()
 
 
 class WorkerPool:
@@ -141,14 +150,22 @@ class WorkerPool:
         self._started = True
 
     def stop(self) -> None:
+        # Flag first: a job thread whose pipe is closed below must see a
+        # stopped pool and not respawn a worker into it.
+        self._started = False
         for slot, worker in enumerate(self._workers):
             if worker is not None:
                 worker.stop()
                 self._workers[slot] = None
-        self._started = False
 
     def pids(self) -> list[int]:
         return [w.pid for w in self._workers if w is not None and w.alive()]
+
+    def _crashed(self, slot: int, exitcode: int | None) -> Outcome:
+        """Report a dead worker, respawning it unless the pool stopped."""
+        if self._started:
+            self._replace(slot)
+        return Outcome("crashed", exitcode=exitcode)
 
     def _replace(self, slot: int) -> None:
         worker = self._workers[slot]
@@ -164,7 +181,9 @@ class WorkerPool:
     ) -> Outcome:
         """Run one job on ``slot``'s worker; blocking (use a thread).
 
-        Always leaves the slot with a live worker, whatever happened.
+        Always leaves the slot with a live worker, whatever happened —
+        unless :meth:`stop` ran meanwhile: the job then resolves to
+        ``crashed`` and the slot stays empty.
         """
         if not self._started:
             raise ServiceError("pool is not started")
@@ -179,8 +198,7 @@ class WorkerPool:
         try:
             worker.conn.send(spec_dict)
         except (BrokenPipeError, OSError):
-            self._replace(slot)
-            return Outcome("crashed", exitcode=worker.process.exitcode)
+            return self._crashed(slot, worker.process.exitcode)
         while True:
             try:
                 if worker.conn.poll(_POLL_S):
@@ -189,8 +207,8 @@ class WorkerPool:
                         return Outcome("ok", payload=payload["result"])
                     return Outcome("error", payload=payload)
             except (EOFError, OSError):
-                self._replace(slot)
-                return Outcome("crashed", exitcode=worker.process.exitcode)
+                # Also the path when stop() closed this pipe under us.
+                return self._crashed(slot, worker.process.exitcode)
             if not worker.alive():
                 # Drain a result that raced the death of its sender.
                 try:
@@ -201,9 +219,7 @@ class WorkerPool:
                         return Outcome("error", payload=payload)
                 except (EOFError, OSError):
                     pass
-                exitcode = worker.process.exitcode
-                self._replace(slot)
-                return Outcome("crashed", exitcode=exitcode)
+                return self._crashed(slot, worker.process.exitcode)
             if deadline is not None and time.monotonic() > deadline:
                 self._replace(slot)
                 return Outcome("timeout")

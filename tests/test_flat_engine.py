@@ -216,6 +216,77 @@ class TestCSolverTwin:
             assert c is not None
             assert np.array_equal(c, py), (sockets, nodes, canon)
 
+    @staticmethod
+    def cluster_problem(rng, topo, n_groups, pool):
+        """Up to 4 streams per group over ``n_groups`` groups; each
+        group's (socket, resource) multiset is drawn from ``pool`` (shared
+        signatures) or fresh when ``pool`` is None.  Resources include the
+        NIC ids at ``n_sockets + box``."""
+        n_res = topo.n_resources
+        sockets: list[int] = []
+        nodes: list[int] = []
+        groups: list[int] = []
+        for g in range(n_groups):
+            if pool is not None:
+                members = pool[int(rng.integers(0, len(pool)))]
+            else:
+                members = [
+                    (int(rng.integers(0, topo.n_sockets)),
+                     int(rng.integers(0, n_res)))
+                    for _ in range(int(rng.integers(1, 5)))
+                ]
+            # Stream order inside a group must not matter to the dedup.
+            for i in rng.permutation(len(members)):
+                s, nd = members[int(i)]
+                sockets.append(s)
+                nodes.append(nd)
+                groups.append(g)
+        return sockets, nodes, groups
+
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["duplicate-sigs", "distinct-sigs"])
+    def test_cluster16_scale_exact(self, shared):
+        topo = presets.by_name("cluster16")
+        ic = Interconnect(topo)
+        if ic._cfn is None:
+            pytest.skip("C solver unavailable (no compiler?)")
+        rng = np.random.default_rng(16 if shared else 61)
+        nic_seen = False
+        for _ in range(40):
+            n_groups = int(rng.integers(1, 129))
+            pool = None
+            if shared:
+                pool = [
+                    [(int(rng.integers(0, topo.n_sockets)),
+                      int(rng.integers(0, topo.n_resources)))
+                     for _ in range(int(rng.integers(1, 5)))]
+                    for _ in range(int(rng.integers(1, 9)))
+                ]
+            sockets, nodes, groups = self.cluster_problem(
+                rng, topo, n_groups, pool
+            )
+            assert len(nodes) <= 512
+            nic_seen |= max(nodes) >= topo.n_sockets
+            c = ic._solve_c(sockets, nodes, groups)
+            py = ic._solve(sockets, nodes, groups)
+            assert c is not None
+            assert np.array_equal(c, py), (sockets, nodes, groups)
+        assert nic_seen
+
+    def test_above_capacity_falls_back_to_python(self):
+        topo = presets.by_name("cluster16")
+        ic = Interconnect(topo)
+        if ic._cfn is None:
+            pytest.skip("C solver unavailable (no compiler?)")
+        n = 4097  # CAP_STREAMS in _csolve.c is 4096
+        rng = np.random.default_rng(5)
+        sockets = [int(s) for s in rng.integers(0, topo.n_sockets, n)]
+        nodes = [int(x) for x in rng.integers(0, topo.n_resources, n)]
+        groups = [i // 4 for i in range(n)]
+        assert ic._solve_c(sockets, nodes, groups) is None
+        rates = ic.stream_rates_canon(sockets, nodes, groups)
+        assert np.array_equal(rates, ic._solve(sockets, nodes, groups))
+
 
 class TestUnboundCounter:
     """The incremental unbound-page counter equals a full recount after

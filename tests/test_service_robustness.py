@@ -360,6 +360,38 @@ class TestWorkerStartMethod:
         assert pool._ctx.get_start_method() in ("forkserver", "spawn")
 
 
+class TestPoolStopDuringJob:
+    def test_stop_mid_job_resolves_crashed_without_respawn(self):
+        """stop() closes the pipe a job thread is polling.  The thread must
+        resolve to ``crashed`` without a second close of the same fd and
+        without respawning a worker into the stopped pool."""
+        import threading
+
+        from repro.service.jobs import JobSpec
+        from repro.service.pool import WorkerPool
+
+        spec = JobSpec.from_dict(
+            tiny_spec(seed=24, chaos={"sleep_s": 5.0})
+        ).validated().to_dict()
+        pool = WorkerPool(1)
+        pool.start()
+        outcome = {}
+        job = threading.Thread(
+            target=lambda: outcome.setdefault("value", pool.run(0, spec))
+        )
+        job.start()
+        try:
+            time.sleep(0.3)  # the job thread is now polling the pipe
+            pool.stop()  # must not raise (EBADF from a racing close)
+            job.join(timeout=10.0)
+            assert not job.is_alive()
+            assert outcome["value"].kind == "crashed"
+            assert pool._workers == [None]
+            assert pool.replacements == 0
+        finally:
+            pool.stop()
+
+
 class TestDrainAndResume:
     def test_drain_rejects_new_finishes_running(self, tmp_path):
         async def scenario():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import bullion_s16, two_socket
+from repro.machine import bullion_s16, presets, two_socket
 from repro.runtime import Placement, Simulator, TaskProgram
 from repro.schedulers.base import Scheduler
 
@@ -158,6 +158,52 @@ class TestStealDistanceOrdering:
         stolen_to_0 = [r for r in res.records if r.socket == 0]
         assert res.steals > 0
         assert stolen_to_0, "socket 0 should have stolen something"
+
+
+def scan_tiers(topo, steal_distance):
+    """The on-the-fly victim scan the steal tiers replace."""
+    tiers = []
+    for s in topo.sockets():
+        tier = []
+        for victim in topo.sockets_by_distance(s):
+            if victim == s:
+                continue
+            if topo.dist(s, victim) > steal_distance:
+                break
+            tier.append((victim, list(topo.cores_of_socket(victim))))
+        tiers.append(tier)
+    return tiers
+
+
+class TestStealTiers:
+    """The per-thief victim tiers are computed once at construction and
+    must equal the old per-probe scan on every machine and policy."""
+
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
+    @pytest.mark.parametrize(
+        "steal,distance",
+        [(True, None), ("near", None), ("near", 25.0), (False, None)],
+    )
+    def test_tiers_match_scan(self, preset, steal, distance):
+        topo = presets.by_name(preset)
+        sim = Simulator(program_of(2), topo, SocketZero(), steal=steal,
+                        steal_distance=distance)
+        if steal is False:
+            assert sim._steal_tiers == [[] for _ in topo.sockets()]
+        else:
+            assert sim._steal_tiers == scan_tiers(topo, sim.steal_distance)
+
+    def test_empty_queues_return_before_any_probe(self, monkeypatch):
+        topo = presets.by_name("cluster16")
+        sim = Simulator(program_of(2), topo, SocketZero(), steal=True)
+
+        def no_probe(victim, cores):
+            raise AssertionError(f"probed victim {victim} with empty queues")
+
+        monkeypatch.setattr(sim, "_pop_victim_work", no_probe)
+        assert all(sim.idle_cores)  # every socket is a would-be thief
+        assert sim._try_steal() is False
+        assert sim.steals == 0
 
 
 class TestJitter:
