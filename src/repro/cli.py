@@ -427,23 +427,18 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Host benchmarks: the hot-path suite or the e2e engine suite."""
+    """Host benchmarks: the hot-path decision-rate + cache suite."""
     from .bench import (
         append_history,
         compare_bench_files,
-        headline_e2e_speedup,
         headline_speedup,
         load_bench_file,
-        run_e2e_bench,
         run_hotpath_bench,
-        write_e2e_entries,
         write_entries,
     )
     from .errors import BenchmarkError
 
-    out = args.out or (
-        "BENCH_e2e.json" if args.target == "e2e" else "BENCH_hotpath.json"
-    )
+    out = args.out or "BENCH_hotpath.json"
 
     def compare(current: str) -> None:
         report = compare_bench_files(
@@ -468,48 +463,28 @@ def cmd_bench(args) -> int:
         compare(args.against)
         return 0
 
-    progress = lambda m: print(f"  {m}", file=sys.stderr)  # noqa: E731
-    if args.target == "e2e":
-        entries = run_e2e_bench(
-            quick=args.quick,
-            sizes=tuple(args.sizes) if args.sizes else None,
-            machine=args.machine,
-            reps=args.reps,
-            seed=args.seed,
-            verify=not args.no_verify,
-            progress=progress,
-        )
-        write_e2e_entries(entries, out)
-        kind = "e2e"
-        speedup = headline_e2e_speedup(entries)
-        headline_key = "e2e_speedup_vs_before"
-        if speedup is not None:
-            print(f"end-to-end speedup vs pre-flat-engine tree: {speedup:.2f}x")
-    else:
-        entries = run_hotpath_bench(
-            quick=args.quick,
-            sizes=tuple(args.sizes) if args.sizes else None,
-            machine=args.machine,
-            reps=args.reps,
-            seed=args.seed,
-            verify=not args.no_verify,
-            progress=progress,
-        )
-        write_entries(entries, out)
-        kind = "hotpath"
-        speedup = headline_speedup(entries)
-        headline_key = "decision_speedup"
-        if speedup is not None:
-            print(f"placement-cache decision-rate speedup: {speedup:.2f}x")
+    entries = run_hotpath_bench(
+        quick=args.quick,
+        sizes=tuple(args.sizes) if args.sizes else None,
+        machine=args.machine,
+        reps=args.reps,
+        seed=args.seed,
+        verify=not args.no_verify,
+        progress=lambda m: print(f"  {m}", file=sys.stderr),
+    )
+    write_entries(entries, out)
+    speedup = headline_speedup(entries)
+    if speedup is not None:
+        print(f"placement-cache decision-rate speedup: {speedup:.2f}x")
     print(f"bench results written to {out} ({len(entries)} entries)")
     if not args.no_history:
-        headline = {headline_key: speedup} if speedup is not None else None
+        headline = {"decision_speedup": speedup} if speedup is not None else None
         # Default the history next to the bench file so runs writing to a
         # scratch --out never touch a history elsewhere.
         history = args.history or str(
             Path(out).parent / "BENCH_history.jsonl"
         )
-        append_history(history, kind, entries, headline=headline)
+        append_history(history, "hotpath", entries, headline=headline)
         print(f"history appended to {history}")
     if args.compare:
         compare(out)
@@ -547,7 +522,6 @@ def cmd_verify(args) -> int:
             policies=args.policies or None,
             budget_s=args.budget,
             out_dir=args.out_dir,
-            engine=args.engine,
             progress=(
                 (lambda m: print(f"  {m}", file=sys.stderr))
                 if args.verbose else None
@@ -574,7 +548,7 @@ def cmd_verify(args) -> int:
             return 2
         failures = 0
         for path in paths:
-            report = replay_file(path, engine=args.engine)
+            report = replay_file(path)
             print(f"{path}: {report.summary()}")
             if not report.ok:
                 failures += 1
@@ -848,28 +822,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="host benchmarks; emits BENCH_hotpath.json / BENCH_e2e.json",
+        help="host hot-path benchmark; emits BENCH_hotpath.json",
     )
-    p.add_argument("--target", default="hotpath", choices=["hotpath", "e2e"],
-                   help="hotpath = decision-rate + cache suite; e2e = "
-                        "flat-vs-object engine wall-clock suite")
     p.add_argument("--quick", action="store_true",
                    help="smaller graph sizes (CI smoke)")
     p.add_argument("--out", default=None,
                    metavar="OUT.json",
-                   help="output file (default BENCH_hotpath.json or "
-                        "BENCH_e2e.json per --target)")
+                   help="output file (default BENCH_hotpath.json)")
     p.add_argument("--sizes", type=int, nargs="+", default=None,
                    help="task-count targets (default 1k/4k/10k, quick 300/1200)")
     p.add_argument("--machine", default="four-socket",
                    choices=sorted(presets.PRESETS))
     p.add_argument("--reps", type=int, default=3,
-                   help="repetitions: decision replays (hotpath) or timed "
-                        "runs kept as the min (e2e); default 3")
+                   help="decision replays per case (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-verify", action="store_true",
-                   help="skip the schedule oracle check (cached-vs-uncached "
-                        "for hotpath, flat-vs-object for e2e)")
+                   help="skip the cached-vs-uncached schedule check")
     p.add_argument("--validate", default=None, metavar="FILE.json",
                    help="only validate an existing bench file's schema")
     p.add_argument("--compare", default=None, metavar="BASELINE.json",
@@ -961,11 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default verify-repros/)")
     v.add_argument("-v", "--verbose", action="store_true",
                    help="print one progress line per seed")
-    v.add_argument("--engine", default=None,
-                   choices=["object", "flat", "both"],
-                   help="production fluid engine to diff against the "
-                        "oracle (default: simulator default); 'both' also "
-                        "demands exact flat-vs-object bit identity")
     v.set_defaults(fn=cmd_verify)
 
     v = vsub.add_parser(
@@ -974,11 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("paths", nargs="+", metavar="FILE|DIR",
                    help="case files, or directories of *.json cases")
-    v.add_argument("--engine", default=None,
-                   choices=["object", "flat", "both"],
-                   help="production fluid engine to diff against the "
-                        "oracle (default: simulator default); 'both' also "
-                        "demands exact flat-vs-object bit identity")
     v.add_argument("--out-dir", default=None, metavar="DIR",
                    help="serialize diverging cases to DIR (CI artifacts)")
     v.set_defaults(fn=cmd_verify)

@@ -23,7 +23,6 @@ all its consumers (contention) — the reason locality-aware placement must
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +161,6 @@ class Interconnect:
             None if self._c_link is None else self._c_link.ctypes.data
         )
         self._c_cf = -1.0 if core_fraction is None else float(core_fraction)
-        self._check_csolve = bool(os.environ.get("REPRO_CHECK_CSOLVE"))
         # Reusable per-call scratch (grown on demand): list->buffer fills
         # are single C-level copies, much cheaper than fresh np.array()
         # allocations per miss.
@@ -225,11 +223,10 @@ class Interconnect:
     ) -> np.ndarray:
         """Array-native :meth:`stream_rates` (one int64 entry per stream).
 
-        Identical arithmetic; the flat simulator engine calls this directly
-        with its struct-of-arrays state so no :class:`StreamKey` objects are
-        built on the hot path.  The result is *label-invariant* in
-        ``groups``: only the partition they induce matters, so callers may
-        pass task ids, core ids, or any other stable labels.  May return a
+        Identical arithmetic, with no :class:`StreamKey` objects built.
+        The result is *label-invariant* in ``groups``: only the partition
+        they induce matters, so callers may pass task ids, core ids, or
+        any other stable labels.  May return a
         shared read-only array (the rate memo) — copy before mutating.
         """
         return self.stream_rates_lists(
@@ -254,8 +251,8 @@ class Interconnect:
             return np.empty(0, dtype=np.float64)
         # Canonical memo key: rates are label-invariant in ``groups``, so
         # relabel by first occurrence before hashing.  Two epochs posing
-        # the same logical stream pattern under different task ids (object
-        # engine) or on different cores (flat engine) then share one entry.
+        # the same logical stream pattern under different task ids or on
+        # different cores then share one entry.
         first: dict[int, int] = {}
         canon = [0] * n
         for i, g in enumerate(groups):
@@ -291,14 +288,6 @@ class Interconnect:
             rates = self._solve_c(sockets, nodes, canon)
         if rates is None:
             rates = self._solve(sockets, nodes, canon)
-        elif self._check_csolve:
-            pure = self._solve(sockets, nodes, canon)
-            if not np.array_equal(rates, pure):
-                raise AssertionError(
-                    "csolve divergence: C and python solvers disagree on "
-                    f"sockets={sockets} nodes={nodes} groups={canon}: "
-                    f"{rates.tolist()} vs {pure.tolist()}"
-                )
         if len(self._rate_cache) >= 8192:  # bound the memo footprint
             self._rate_cache.clear()
         rates.setflags(write=False)

@@ -1,52 +1,36 @@
-"""Fluid-flow engines: the simulator's drain/predict mechanics, twice.
+"""The fluid engine: the simulator's drain/predict mechanics.
 
 The :class:`~repro.runtime.simulator.Simulator` owns every *decision* of a
 run — offering, dispatch, stealing, timers, faults, epochs, RNG draws —
-while the question "when does which running attempt finish?" is answered by
-a pluggable **fluid engine**.  Two implementations share one contract
-(DESIGN.md §14):
+while the question "when does which running attempt finish?" is answered
+by the :class:`FlatEngine` (DESIGN.md §14).  Its state is indexed by *core
+slot* (core exclusivity bounds running attempts by ``n_cores``): per-slot
+compute remaining/deadline vectors and per-(slot, node) stream byte/active
+grids.  Walking the busy slots yields the row-major ``(indptr, node,
+bytes)`` CSR view the interconnect consumes.
 
-* :class:`ObjectEngine` — one :class:`_Running` object per attempt with
-  per-stream dicts; plain Python scalar arithmetic.  The readable twin and
-  the oracle of record.
-* :class:`FlatEngine` — struct-of-arrays numpy state indexed by *core
-  slot* (core exclusivity bounds running attempts by ``n_cores``): per-slot
-  compute remaining/deadline vectors and per-(slot, node) stream byte/rate/
-  deadline grids.  Collecting the active streams with ``nonzero`` yields
-  the row-major ``(indptr, node, bytes)`` CSR view the interconnect
-  consumes; the three inner operations — stream drain, next-completion
-  prediction, ready-release bookkeeping on finish — are O(1) numpy calls
-  per event batch instead of per-object dict traffic.
+The engine implements a **rate-epoch deadline drain**.  Stream rates only
+change when the active set changes (start, finish, crash, fault knob), so
+between such changes — one *rate epoch* — every completion instant is
+known in closed form.  At ``refresh`` each stream gets an absolute
+deadline ``d = now + bytes / rate`` (and compute ``cd = now + remaining /
+speed``); the epoch then persists through any number of no-op timer stops
+with **zero drain arithmetic**.  State is *materialized* back into byte
+space (``bytes = rate * (d - now)``) only when the set actually changes,
+so a task completing at its own deadline materializes to exactly 0.0
+remaining bytes and 0.0 compute.
 
-Both engines implement the same **rate-epoch deadline drain**.  Stream
-rates only change when the active set changes (start, finish, crash, fault
-knob), so between such changes — one *rate epoch* — every completion
-instant is known in closed form.  At ``refresh`` each stream gets an
-absolute deadline ``d = now + bytes / rate`` (and compute ``cd = now +
-remaining / speed``); the epoch then persists through any number of no-op
-timer stops with **zero drain arithmetic**.  State is *materialized* back
-into byte space (``bytes = rate * (d - now)``) only when the set actually
-changes.  This replaces the old incremental ``bytes -= rate * dt``
-subtraction whose per-stop round-off the ``_EPS_BYTES`` tolerance papered
-over: a task completing at its own deadline now materializes to exactly
-0.0 remaining bytes and 0.0 compute.
-
-Bit-identity contract: every float comparison and arithmetic expression
-here exists in both engines in the same order per value (IEEE doubles make
-elementwise numpy ops identical to the scalar expressions), and the
-water-fill rate function is permutation/label-invariant in its stream
-order, so ``Simulator(engine="flat")`` and ``engine="object"`` produce
-byte-identical runs.  The replay oracle
-(:mod:`repro.verify.oracle`) mirrors the same epoch logic.
+The replay oracle (:mod:`repro.verify.oracle`) re-implements the same
+epoch logic independently, per attempt, and must agree to ``1e-9``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from ..errors import SimulationError
-from ..machine.interconnect import StreamKey
 from ..machine.memory import _check_cache_env
 from .task import Task
 
@@ -60,13 +44,12 @@ _EPS_BYTES = 1e-2
 
 _INF = float("inf")
 
-
 @dataclass(eq=False)
 class _Running:
-    """One in-flight attempt.  ``compute_remaining``/``streams`` are live
-    under the object engine; the flat engine keeps the truth in its arrays
-    and writes the final materialized values back on removal so probes and
-    the fault injector observe identical state under either engine."""
+    """One in-flight attempt.  The engine keeps the live drain state in
+    its slot arrays and writes the final materialized values back onto
+    ``compute_remaining``/``streams`` on removal, so probes and the fault
+    injector observe an attempt's exact residue."""
 
     task: Task
     core: int
@@ -74,190 +57,10 @@ class _Running:
     start: float
     compute_remaining: float
     streams: dict[int, float]  # node -> remaining bytes
-    # Rate-epoch state (object engine; see module docstring).
-    n_active: int = 0
-    s_rate: dict[int, float] = field(default_factory=dict)
-    s_deadline: dict[int, float] = field(default_factory=dict)
-    c_deadline: float = 0.0
-    fin_deadline: float = _INF
-    done_deadline: float = _INF
-
-
-class ObjectEngine:
-    """Per-attempt objects + scalar epoch arithmetic (the readable twin).
-
-    Invariant: whenever ``valid`` is True, *every* attempt in
-    ``sim.running`` carries deadlines from the latest :meth:`refresh` —
-    :meth:`add`/:meth:`remove` materialize first and invalidate, so a
-    never-refreshed attempt can never be materialized.
-    """
-
-    name = "object"
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self.valid = True  # an empty epoch is trivially fresh
-        #: Earliest instant any active stream crosses its byte tolerance;
-        #: the clock passing it is the only mid-epoch event that changes
-        #: rates (a departed stream frees controller share).
-        self.stream_dep_min = _INF
-        #: ``REPRO_CHECK_CACHE=1`` also oracle-checks the incremental
-        #: active-stream counters against a recount at every materialize.
-        self.check = _check_cache_env()
-
-    # -- membership ----------------------------------------------------
-    def add(self, rt: _Running) -> None:
-        """Admit a new attempt (must not be in ``sim.running`` yet)."""
-        self.materialize()
-        n_active = 0
-        for n, b in rt.streams.items():
-            if b > _EPS_BYTES:
-                n_active += 1
-            else:
-                rt.streams[n] = 0.0
-        rt.n_active = n_active
-        self.valid = False
-
-    def remove(self, rt: _Running) -> None:
-        """Retire an attempt (finish or crash); state is materialized so
-        ``rt`` holds its exact final bytes/compute."""
-        self.materialize()
-        self.valid = False
-
-    def clear(self) -> None:
-        """Drop all fluid state (after ``_abort_run``)."""
-        self.valid = False
-
-    # -- epoch transitions ---------------------------------------------
-    def on_rates_changed(self) -> None:
-        """A fault knob moved (core speed / node bandwidth): close the
-        epoch under the old rates."""
-        self.materialize()
-
-    def materialize(self) -> None:
-        """Rebase deadline state into byte space at ``sim.now`` and end
-        the epoch.  No-op when no epoch is open."""
-        if not self.valid:
-            return
-        sim = self.sim
-        now = sim.now
-        speed_arr = sim._core_speed
-        for rt in sim.running.values():
-            streams = rt.streams
-            n_active = rt.n_active
-            s_rate = rt.s_rate
-            for n, d in rt.s_deadline.items():
-                b = s_rate[n] * (d - now)
-                if b > _EPS_BYTES:
-                    streams[n] = b
-                else:
-                    streams[n] = 0.0
-                    n_active -= 1
-            rt.n_active = n_active
-            speed = 1.0 if speed_arr is None else float(speed_arr[rt.core])
-            c = speed * (rt.c_deadline - now)
-            rt.compute_remaining = c if c > _EPS else 0.0
-            if self.check:
-                fresh = sum(1 for b in streams.values() if b > _EPS_BYTES)
-                if fresh != rt.n_active:
-                    raise SimulationError(
-                        f"active-stream counter diverged for task "
-                        f"{rt.task.tid}: counter {rt.n_active}, recount "
-                        f"{fresh} at t={now:.6g}"
-                    )
-        self.valid = False
-
-    def refresh(self) -> None:
-        """Open a new epoch at ``sim.now``: one rate computation, absolute
-        deadlines for every stream and compute component."""
-        if self.valid:
-            return
-        sim = self.sim
-        running = sim.running
-        dep_min = _INF
-        if running:
-            now = sim.now
-            keys: list[StreamKey] = []
-            refs: list[tuple[_Running, int, float]] = []
-            for rt in running.values():
-                rt.s_rate = {}
-                rt.s_deadline = {}
-                tid = rt.task.tid
-                socket = rt.socket
-                for n, b in rt.streams.items():
-                    if b > _EPS_BYTES:
-                        keys.append(StreamKey(socket, n, group=tid))
-                        refs.append((rt, n, b))
-            rates = sim._stream_rates(keys)
-            for (rt, n, b), rate in zip(refs, rates):
-                rate = float(rate)
-                rt.s_rate[n] = rate
-                rt.s_deadline[n] = now + b / rate
-            speed_arr = sim._core_speed
-            for rt in running.values():
-                speed = 1.0 if speed_arr is None else float(speed_arr[rt.core])
-                cd = now + rt.compute_remaining / speed
-                fin = cd
-                done = cd - _EPS / speed
-                s_rate = rt.s_rate
-                for n, d in rt.s_deadline.items():
-                    if d > fin:
-                        fin = d
-                    dd = d - _EPS_BYTES / s_rate[n]
-                    if dd > done:
-                        done = dd
-                    if dd < dep_min:
-                        dep_min = dd
-                rt.c_deadline = cd
-                rt.fin_deadline = fin
-                rt.done_deadline = done
-                rt.n_active = len(rt.s_deadline)
-        self.stream_dep_min = dep_min
-        self.valid = True
-
-    def advance(self) -> None:
-        """The clock moved (dt > 0) inside an epoch: if any stream crossed
-        its byte tolerance its controller share is freed, so rebase."""
-        if self.valid and self.sim.now >= self.stream_dep_min:
-            self.materialize()
-
-    # -- queries --------------------------------------------------------
-    def next_completion(self) -> float:
-        """Earliest finish deadline over running attempts (epoch open)."""
-        running = self.sim.running
-        if not running:
-            return _INF
-        return min(rt.fin_deadline for rt in running.values())
-
-    def completed(self) -> list[_Running]:
-        """Attempts done at ``sim.now``, sorted by tid."""
-        sim = self.sim
-        now = sim.now
-        if self.valid:
-            done = [
-                rt for rt in sim.running.values() if rt.done_deadline <= now
-            ]
-        else:
-            done = [
-                rt for rt in sim.running.values()
-                if rt.n_active == 0 and rt.compute_remaining <= _EPS
-            ]
-        done.sort(key=_by_tid)
-        return done
-
-    def attempt_done(self, rt: _Running) -> bool:
-        """Doneness of one attempt at ``sim.now`` (crash-fizzle test)."""
-        if self.valid:
-            return rt.done_deadline <= self.sim.now
-        return rt.n_active == 0 and rt.compute_remaining <= _EPS
-
-
-def _by_tid(rt: _Running) -> int:
-    return rt.task.tid
 
 
 class FlatEngine:
-    """Struct-of-arrays twin of :class:`ObjectEngine` (same contract).
+    """Slot-indexed fluid state plus the epoch arithmetic (DESIGN.md §14).
 
     Slot = core index.  All state lives in preallocated slot-indexed
     vectors and dense ``[n_cores][n_nodes]`` grids; walking the active
@@ -265,14 +68,15 @@ class FlatEngine:
     list the interconnect consumes.  The grids are plain Python lists:
     at realistic machine sizes (tens of cores, a handful of nodes) the
     per-call dispatch of numpy kernels costs more than the arithmetic
-    itself, and scalar IEEE expressions are trivially bit-identical to
-    the object engine's.  Group labels passed to the interconnect are the
-    core slots — the water-fill is label-invariant, so this matches the
-    object engine's tid labels bit-for-bit while keeping signatures dense
-    and memoisable.
-    """
+    itself.  Group labels passed to the interconnect are the core slots,
+    canonicalised by first occurrence — the water-fill is label-invariant,
+    so signatures stay dense and memoisable.
 
-    name = "flat"
+    Invariant: whenever ``valid`` is True, every busy slot carries
+    deadlines from the latest :meth:`refresh` — :meth:`add`/:meth:`remove`
+    materialize first and invalidate, so a never-refreshed attempt can
+    never be materialized.
+    """
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -324,15 +128,12 @@ class FlatEngine:
         streams = rt.streams
         row_b = self.s_bytes[slot]
         row_a = self.s_active[slot]
-        n_active = 0
         for n, b in streams.items():
             if b > _EPS_BYTES:
                 row_b[n] = b
                 row_a[n] = True
-                n_active += 1
             else:
                 streams[n] = 0.0
-        rt.n_active = n_active
         nodes = [n for n in range(self.n_nodes) if row_a[n]]
         self.slot_nodes[slot] = nodes
         self.slot_cores[slot] = [slot] * len(nodes)
@@ -345,14 +146,13 @@ class FlatEngine:
     def remove(self, rt: _Running) -> None:
         self.materialize()
         slot = rt.core
-        # Write the exact final state back onto the handle so probes, the
-        # residue tests and `repr` diffs see what the object engine shows.
+        # Write the exact final state back onto the handle so probes and
+        # the fault injector see the attempt's residue.
         rt.compute_remaining = self.c_rem[slot]
         row_b = self.s_bytes[slot]
         streams = rt.streams
         for n in streams:
             streams[n] = row_b[n]
-        rt.n_active = len(self.slot_nodes[slot])
         self.busy_slots.remove(slot)
         self.slot_rt[slot] = None
         self.s_active[slot] = [False] * self.n_nodes
@@ -548,7 +348,7 @@ class FlatEngine:
             ]
         if not done:
             return []
-        done.sort(key=_by_tid)
+        done.sort(key=attrgetter("task.tid"))
         return done
 
     def attempt_done(self, rt: _Running) -> bool:
@@ -558,5 +358,5 @@ class FlatEngine:
         return self.c_rem[slot] <= _EPS and not self.slot_nodes[slot]
 
 
-#: Engine registry for ``Simulator(engine=...)``.
-ENGINES = {"object": ObjectEngine, "flat": FlatEngine}
+#: Kept only as the import point of ``perfbench/tracer.py``.
+ENGINES = {"flat": FlatEngine}

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import FaultError, ReproError, SimulationError
-from ..machine.interconnect import Interconnect, StreamKey
+from ..machine.interconnect import Interconnect
 from ..machine.memory import DEFAULT_PAGE_SIZE, MemoryManager
 from ..machine.topology import NumaTopology
 from .cost import traffic_streams
@@ -58,7 +58,7 @@ from .engines import (  # noqa: F401 (re-export)
     _EPS,
     _EPS_BYTES,
     _INF,
-    ENGINES,
+    FlatEngine,
     _Running,
 )
 from .placement import Placement
@@ -104,7 +104,6 @@ class Simulator:
         placement_cache: bool = True,
         probe=None,
         verify: bool | None = None,
-        engine: str = "flat",
     ) -> None:
         program.validate()
         self.program = program
@@ -236,16 +235,8 @@ class Simulator:
         self.n_done = 0
         self.running: dict[int, _Running] = {}
 
-        # Fluid engine (DESIGN.md §14): object = per-attempt scalar oracle,
-        # flat = struct-of-arrays numpy twin.  Bit-identical by contract.
-        engine_cls = ENGINES.get(engine)
-        if engine_cls is None:
-            raise SimulationError(
-                f"unknown engine {engine!r}; expected one of "
-                + "/".join(sorted(ENGINES))
-            )
-        self.engine_name = engine
-        self.engine = engine_cls(self)
+        # Fluid engine (DESIGN.md §14): the drain/predict mechanics.
+        self.engine = FlatEngine(self)
 
         # Barrier epochs.
         self.n_epochs = program.n_epochs
@@ -1146,25 +1137,6 @@ class Simulator:
             self.held_by_epoch[self.active_epoch] = []
             for held in released:
                 self._offer(held)
-
-    # ------------------------------------------------------------------
-    # Fluid-flow mechanics (the drain/predict math lives in .engines)
-    # ------------------------------------------------------------------
-    def _stream_rates(self, keys: list[StreamKey]) -> np.ndarray:
-        """Interconnect rates, degraded per-node when a fault plan says so."""
-        rates = self.interconnect.stream_rates(keys)
-        if self._node_bw_factor is not None and len(keys):
-            nodes = np.fromiter(
-                (k.node for k in keys), dtype=np.int64, count=len(keys)
-            )
-            rates = rates * self._node_bw_factor[nodes]
-        return rates
-
-    def _compute_speed(self, core: int) -> float:
-        """Compute rate of ``core`` (1.0 unless a straggler fault is live)."""
-        if self._core_speed is None:
-            return 1.0
-        return float(self._core_speed[core])
 
     # ------------------------------------------------------------------
     def _stuck_tasks(self, limit: int = 8) -> str:

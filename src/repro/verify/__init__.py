@@ -14,7 +14,6 @@ from .differential import (
     DifferentialReport,
     Divergence,
     VerifyCase,
-    compare_engines,
     differential_run,
     program_from_dict,
     program_to_dict,
@@ -44,7 +43,6 @@ __all__ = [
     "SimProbe",
     "TraceEvent",
     "VerifyCase",
-    "compare_engines",
     "differential_run",
     "fuzz",
     "make_case",

@@ -43,7 +43,6 @@ from ..runtime.program import TaskProgram
 from .differential import (
     DifferentialReport,
     VerifyCase,
-    compare_engines,
     run_case,
     save_repro,
 )
@@ -336,7 +335,6 @@ def fuzz(
     policies: list[str] | None = None,
     budget_s: float | None = None,
     out_dir: str | None = None,
-    engine: str | None = None,
     progress=None,
 ) -> FuzzReport:
     """Differential-fuzz the given seeds (an int count or an iterable).
@@ -344,11 +342,7 @@ def fuzz(
     ``policies`` filters :data:`POLICY_MATRIX` by label; ``budget_s`` stops
     after a wall-clock budget (the seeds actually covered are reported);
     ``out_dir`` receives a repro file per divergence; ``progress`` is an
-    optional callable receiving one line per seed.  ``engine`` selects the
-    production fluid engine diffed against the oracle (None = simulator
-    default); ``"both"`` runs each case under *both* engines, demands
-    exact flat-vs-object bit identity, then diffs the flat run against
-    the oracle — the strongest (and slowest) mode.
+    optional callable receiving one line per seed.
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
@@ -369,12 +363,7 @@ def fuzz(
         outcomes = []
         for label, scheduler, scheduler_kwargs in matrix:
             case = make_case(seed, label, scheduler, scheduler_kwargs)
-            if engine == "both":
-                diff = compare_engines(case)
-                if diff.status != "divergence":
-                    diff = run_case(case, engine="flat")
-            else:
-                diff = run_case(case, engine=engine)
+            diff = run_case(case)
             report.n_cases += 1
             if diff.status == "ok":
                 report.n_ok += 1

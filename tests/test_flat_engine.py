@@ -1,26 +1,34 @@
-"""Flat (struct-of-arrays) event engine: bit-identity and drain contracts.
+"""Fluid event engine: drain contracts and the compiled rate solver.
 
-PR 8 moved the simulator hot loop onto :class:`repro.runtime.engines.
-FlatEngine`; the per-event :class:`~repro.runtime.engines.ObjectEngine`
-stays behind as the oracle twin.  These tests pin the contracts that
-rewrite rides on:
+The simulator hot loop runs on :class:`repro.runtime.engines.FlatEngine`.
+These tests pin the contracts it rides on:
 
 * rate-epoch drain against precomputed *absolute* deadlines leaves exact
-  zero residues (no ``1e-12`` crumbs from incremental subtraction);
-* flat and object engines produce bit-identical schedules — on the
-  committed corpus, on fresh policy-matrix cases, and on a 10k-task
-  serial chain;
+  zero residues (no ``1e-12`` crumbs from incremental subtraction) on a
+  10k-task serial chain;
+* ``REPRO_CHECK_CACHE=1`` arms the engine's internal mask/mirror oracle
+  without changing a single bit of the schedule;
 * a tiny wall-clock limit aborts promptly with every core returned to
-  the idle pools (the PR 4 ``_abort_run`` contract, now per engine);
-* ``REPRO_CHECK_CACHE=1`` arms the engine's internal mask/mirror oracle;
+  the idle pools (the ``_abort_run`` contract);
+* every committed corpus case and a few fresh fuzz cases (fault plans
+  and clusters included) reproduce their golden schedule fingerprint
+  exactly (``tests/data/golden_corpus.json``);
 * the compiled rate solver is bit-identical to the pure-python one;
 * the memory manager's unbound-page counter matches a full recount.
+
+Regenerate the golden fingerprints (only when intentionally changing
+schedule semantics) with::
+
+    PYTHONPATH=src:tests python tests/test_flat_engine.py --regen
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
+import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,12 +38,25 @@ from repro.machine import presets, two_socket
 from repro.machine.interconnect import Interconnect
 from repro.machine.memory import UNBOUND, MemoryManager
 from repro.runtime import Simulator, TaskProgram
-from repro.runtime.engines import _INF, FlatEngine, ObjectEngine
+from repro.runtime.engines import _INF, FlatEngine
 from repro.schedulers import make_scheduler
-from repro.verify import VerifyCase, compare_engines, make_case
+from repro.verify import VerifyCase, make_case
+from repro.verify.differential import _run_production
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "golden_corpus.json")
+
+#: Fresh (non-corpus) scenarios from the fuzz generator: random topology,
+#: program, fault plan and jitter per policy.  Seed 99 draws a multi-box
+#: cluster, so message events and NIC contention are pinned too.
+FRESH_CASES = {
+    "las": (1234, "las", "las", {}),
+    "rgp+las": (1234, "rgp+las", "rgp+las", {"window_size": 8}),
+    "dfifo": (1234, "dfifo", "dfifo", {}),
+    "cluster": (99, "rgp+las", "rgp+las", {"window_size": 8}),
+}
 
 RECORD_FIELDS = (
     "tid", "core", "socket", "attempt", "start", "finish",
@@ -69,9 +90,7 @@ class TestSerialChainDrain:
     def test_10k_chain_exact_residues_and_order(self):
         prog = serial_chain(10_000)
         topo = two_socket(cores_per_socket=2)
-        sim = Simulator(
-            prog, topo, make_scheduler("las"), engine="flat", verify=False
-        )
+        sim = Simulator(prog, topo, make_scheduler("las"), verify=False)
         assert isinstance(sim.engine, FlatEngine)
         residues = []
         orig_remove = sim.engine.remove
@@ -96,52 +115,39 @@ class TestSerialChainDrain:
         finishes = [r.finish for r in flat.records]
         assert finishes == sorted(finishes)
 
-        # And the oracle twin agrees bit for bit.
-        obj_sim = Simulator(
-            prog, topo, make_scheduler("las"), engine="object", verify=False
-        )
-        assert isinstance(obj_sim.engine, ObjectEngine)
-        obj = obj_sim.run()
-        assert flat.makespan == obj.makespan
-        assert [record_tuple(r) for r in flat.records] == [
-            record_tuple(r) for r in obj.records
-        ]
-
 
 class TestCheckModeEquivalence:
     """Satellite 2: REPRO_CHECK_CACHE=1 arms the engine's internal oracle
-    (mask==bytes, slot-mirror consistency) and the schedules still match."""
+    (mask==bytes, slot-mirror consistency) and the schedule is unchanged
+    bit for bit."""
 
     def test_check_mode_engines_agree(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_CACHE", "1")
         topo = presets.by_name("four-socket")
         prog = stencil_program(topo.n_sockets)
         results = {}
-        for engine in ("flat", "object"):
+        for check in ("1", ""):
+            monkeypatch.setenv("REPRO_CHECK_CACHE", check)
             sim = Simulator(
                 prog, topo, make_scheduler("rgp+las", window_size=8),
-                engine=engine,
             )
-            assert sim.engine.check is True
-            results[engine] = sim.run()
-        flat, obj = results["flat"], results["object"]
-        assert flat.makespan == obj.makespan
-        assert [record_tuple(r) for r in flat.records] == [
-            record_tuple(r) for r in obj.records
+            assert sim.engine.check is bool(check)
+            results[check] = sim.run()
+        checked, plain = results["1"], results[""]
+        assert checked.makespan == plain.makespan
+        assert [record_tuple(r) for r in checked.records] == [
+            record_tuple(r) for r in plain.records
         ]
 
 
 class TestWallClockAbort:
     """Satellite 3: a tiny budget aborts promptly and leaves no
-    phantom-busy cores (the ``_abort_run`` contract, per engine)."""
+    phantom-busy cores (the ``_abort_run`` contract)."""
 
-    @pytest.mark.parametrize("engine", ["flat", "object"])
-    def test_tiny_limit_returns_cores_to_idle(self, engine):
+    def test_tiny_limit_returns_cores_to_idle(self):
         topo = two_socket(cores_per_socket=2)
         prog = stencil_program(topo.n_sockets, scale=8)
         sim = Simulator(
-            prog, topo, make_scheduler("las"),
-            wall_clock_limit=1e-9, engine=engine,
+            prog, topo, make_scheduler("las"), wall_clock_limit=1e-9,
         )
         with pytest.raises(SimulationError, match="wall-clock limit"):
             sim.run()
@@ -154,39 +160,94 @@ class TestWallClockAbort:
         assert sim.engine.completed() == []
 
 
+def _token(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def fingerprint(result) -> str:
+    """sha256 over the exact production schedule of one run: every task
+    record field of the completed and crashed attempts, the makespan, the
+    message list and the traffic/resilience counters (floats via
+    ``float.hex()``)."""
+    tokens = ["makespan", _token(result.makespan)]
+    for tag, records in (("record", result.records),
+                         ("crashed", result.crashed_records)):
+        for r in records:
+            tokens.append(tag)
+            tokens += [_token(getattr(r, f.name)) for f in fields(r)]
+    for m in result.messages:
+        tokens.append("message")
+        tokens += [_token(getattr(m, f.name)) for f in fields(m)]
+    for name in ("steals", "parked_tasks", "touch_count", "reexecutions",
+                 "wasted_work", "cores_failed", "faults_injected",
+                 "messages_dropped"):
+        tokens += [name, _token(getattr(result, name))]
+    for name in ("bytes_by_pair", "busy_time_per_socket", "bytes_on_node",
+                 "bytes_by_link"):
+        arr = getattr(result, name)
+        tokens.append(name)
+        if arr is not None:
+            tokens += [_token(float(x)) for x in arr.ravel().tolist()]
+    return hashlib.sha256("\n".join(tokens).encode()).hexdigest()
+
+
+def golden_entry(case: VerifyCase) -> dict:
+    """The golden-file entry for one case: its production fingerprint, or
+    the error string when the run dies of a legitimate ``ReproError``."""
+    result, error = _run_production(case)
+    if error is not None:
+        return {"error": error}
+    return {"makespan": result.makespan, "sha256": fingerprint(result)}
+
+
+def golden_cases() -> dict:
+    cases = {f"corpus/{os.path.basename(p)}": (lambda p=p: VerifyCase.load(p))
+             for p in CORPUS}
+    for label, args in FRESH_CASES.items():
+        cases[f"fresh/{label}"] = lambda args=args: make_case(*args)
+    return cases
+
+
+def regenerate() -> None:
+    golden = {key: golden_entry(load()) for key, load in golden_cases().items()}
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden)} golden cases to {GOLDEN_PATH}")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
 class TestEngineBitIdentity:
-    """Tentpole acceptance: flat == object, exactly, everywhere."""
+    """Schedules equal the golden fingerprints exactly, everywhere."""
+
+    def test_golden_covers_every_case(self, golden):
+        assert sorted(golden) == sorted(golden_cases())
 
     @pytest.mark.parametrize(
         "path", CORPUS, ids=[os.path.basename(p) for p in CORPUS]
     )
-    def test_corpus_case(self, path):
-        report = compare_engines(VerifyCase.load(path))
-        assert report.status == "ok", report.summary()
+    def test_corpus_case(self, path, golden):
+        key = f"corpus/{os.path.basename(path)}"
+        assert golden_entry(VerifyCase.load(path)) == golden[key]
 
     @pytest.mark.parametrize(
         "label,scheduler,kwargs",
-        [
-            ("las", "las", {}),
-            ("rgp+las", "rgp+las", {"window_size": 8}),
-            ("dfifo", "dfifo", {}),
-        ],
+        [(label, args[2], args[3]) for label, args in FRESH_CASES.items()
+         if label != "cluster"],
     )
-    def test_fresh_fuzz_case(self, label, scheduler, kwargs):
-        # A fresh (non-corpus) scenario per policy: random topology,
-        # program, fault plan and jitter from the fuzz generator.
-        case = make_case(1234, label, scheduler, dict(kwargs))
-        report = compare_engines(case)
-        assert report.status == "ok", report.summary()
+    def test_fresh_fuzz_case(self, label, scheduler, kwargs, golden):
+        case = make_case(*FRESH_CASES[label])
+        assert golden_entry(case) == golden[f"fresh/{label}"]
 
-    def test_fresh_cluster_fuzz_case(self):
-        # Seed 99 deterministically draws a multi-box cluster topology:
-        # message events and NIC contention ride the same bit-identity
-        # contract as single-box runs.
-        case = make_case(99, "rgp+las", "rgp+las", {"window_size": 8})
+    def test_fresh_cluster_fuzz_case(self, golden):
+        case = make_case(*FRESH_CASES["cluster"])
         assert getattr(case.topology, "n_boxes", 1) > 1
-        report = compare_engines(case)
-        assert report.status == "ok", report.summary()
+        assert golden_entry(case) == golden["fresh/cluster"]
 
     def test_corpus_includes_grain_swept_cases(self):
         labels = [VerifyCase.load(p).label or "" for p in CORPUS]
@@ -314,3 +375,12 @@ class TestUnboundCounter:
             unbound = mm._unbound.get(key, 0)
             recount = int((mm._pages[key] == UNBOUND).sum())
             assert unbound == recount, (key, op)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        regenerate()
+    else:
+        print(__doc__)

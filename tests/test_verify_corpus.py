@@ -51,7 +51,7 @@ def test_cluster_corpus_case_exercises_messages():
     from repro.verify.differential import _run_production
 
     path = os.path.join(CORPUS_DIR, "case-cluster-msgs.json")
-    result, error = _run_production(VerifyCase.load(path), engine="flat")
+    result, error = _run_production(VerifyCase.load(path))
     assert error is None
     assert result.messages, (
         "the committed cluster case must produce inter-box messages"
