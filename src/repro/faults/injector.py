@@ -45,15 +45,11 @@ class FaultInjector:
         return sum(self.injected.values())
 
     def _record(self, family: str, **args) -> None:
-        """Count the injection and, when instrumented, emit ``fault.inject``."""
+        """Count the injection and report it to the simulator's probe."""
         self.injected[family] += 1
-        probe = getattr(self.sim, "probe", None)
+        probe = self.sim.probe
         if probe is not None:
-            probe.on_inject(family)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.emit(self.sim.now, "fault.inject", family=family, **args)
-            obs.registry.counter(f"faults.injected.{family}").inc()
+            probe.on_inject(family, **args)
 
     # ------------------------------------------------------------------
     def arm(self) -> None:

@@ -127,9 +127,8 @@ class MemoryManager:
         self.task_cache: dict[object, tuple[tuple[int, ...], np.ndarray, int]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Verification probe (repro.verify.InvariantChecker, or None).
-        #: Notified after every placement mutation; never installed by
-        #: default, so unverified runs pay one attribute check per mutation.
+        #: The simulator's probe (repro.runtime.probe), or None: notified
+        #: after every placement mutation.
         self.probe = None
 
     # ------------------------------------------------------------------

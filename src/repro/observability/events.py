@@ -153,9 +153,6 @@ class RingBufferSink(EventSink):
         """Snapshot of the retained events, oldest first."""
         return list(self._buf)
 
-    def by_kind(self, kind: str) -> list[Event]:
-        return [e for e in self._buf if e.kind == kind]
-
     def __len__(self) -> int:
         return len(self._buf)
 

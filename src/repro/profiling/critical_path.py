@@ -303,11 +303,19 @@ def profile_run(
     ``events`` defaults to ``result.events`` (populated on instrumented
     runs); without events the stall component degrades into queue wait —
     parked intervals are only recoverable from ``sched.place`` events.
-    Raises :class:`~repro.errors.ProfilingError` if the decomposition
-    does not sum to the makespan within ``tol * max(1, makespan)``.
+    Raises :class:`~repro.errors.ProfilingError` if the result's event
+    stream was truncated (its sink dropped events, so parked intervals
+    would be misread as queue wait), or if the decomposition does not sum
+    to the makespan within ``tol * max(1, makespan)``.
     """
     interconnect = interconnect or Interconnect(topology)
-    events = result.events if events is None else events
+    if events is None:
+        if result.events_dropped:
+            raise ProfilingError(
+                f"event stream truncated: the sink dropped "
+                f"{result.events_dropped} events (raise its capacity)"
+            )
+        events = result.events
     model = AttributionModel(interconnect, result.bytes_by_pair)
 
     rec_by_tid = {r.tid: r for r in result.records}

@@ -30,8 +30,6 @@ from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
 
-from ..errors import SimulationError
-from ..machine.memory import _check_cache_env
 from .task import Task
 
 #: Time tolerance (timer coalescing, compute drain).
@@ -119,7 +117,6 @@ class FlatEngine:
         self._ep_nds: list[int] = []
         self._ep_rates: list[float] = []
         self._ep_d: list[float] = []
-        self.check = _check_cache_env()
 
     # -- membership ----------------------------------------------------
     def add(self, rt: _Running) -> None:
@@ -216,23 +213,6 @@ class FlatEngine:
                 for s in busy_idx:
                     c = float(speed_arr[s]) * (c_deadline[s] - now)
                     c_rem[s] = c if c > _EPS else 0.0
-        if self.check:
-            for s in range(self.n_cores):
-                row_b = self.s_bytes[s]
-                row_a = self.s_active[s]
-                for n in range(self.n_nodes):
-                    if row_a[n] != (row_b[n] > _EPS_BYTES):
-                        raise SimulationError(
-                            f"active-stream mask diverged from byte state "
-                            f"at t={now:.6g}"
-                        )
-                mirror = [n for n in range(self.n_nodes) if row_a[n]]
-                if mirror != self.slot_nodes[s]:
-                    raise SimulationError(
-                        f"slot-node mirror diverged from active mask for "
-                        f"slot {s} at t={now:.6g}: "
-                        f"{self.slot_nodes[s]} vs {mirror}"
-                    )
         self.valid = False
 
     def refresh(self) -> None:

@@ -101,9 +101,11 @@ class SimulationResult:
     messages: list[Message] = field(default_factory=list)
     messages_dropped: int = 0
     # Observability (populated only on instrumented runs): the retained
-    # event stream and the metrics-registry snapshot (see
-    # :mod:`repro.observability`); exporters consume these.
+    # event stream, how many older events the sink dropped, and the
+    # metrics-registry snapshot (see :mod:`repro.observability`);
+    # exporters consume these.
     events: list = field(default_factory=list)
+    events_dropped: int = 0
     metrics: dict | None = None
 
     # ------------------------------------------------------------------

@@ -30,12 +30,13 @@ remapped to the nearest surviving socket.  With no plan (or an empty one)
 every fault path is skipped and results are identical to the fault-free
 simulator.
 
-Observability (DESIGN.md §8): an optional
-:class:`~repro.observability.Instrumentation` receives structured events
-(task lifecycle, placement decisions, steals, faults, epochs) and feeds a
-metrics registry (queue depths, busy cores, the NUMA traffic matrix,
-cumulative local/remote bytes).  Emitting never touches simulator state
-or an RNG, so instrumented and uninstrumented runs are byte-identical.
+Hooks (DESIGN.md §8, §11): every transition of a run is reported through
+one channel, :attr:`Simulator.probe` (a :class:`~repro.runtime.probe.
+SimProbe`), with one ``is not None`` test per site.  Its subscribers — the
+oracle's decision recorder, the :class:`~repro.observability.
+Instrumentation` that turns hooks into events and metrics, and the
+invariant checker — never touch simulator state or an RNG, so probed and
+unprobed runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .engines import (  # noqa: F401 (re-export)
     _Running,
 )
 from .placement import Placement
+from .probe import CompositeProbe
 from .program import TaskProgram
 from .result import Message, SimulationResult, TaskRecord
 from .task import Task
@@ -261,11 +263,6 @@ class Simulator:
         self.steals = 0
         self.parked_total = 0
 
-        # Verification probe (repro.verify, or None).  Like instrumentation,
-        # every call site is guarded by one ``is not None`` check and no
-        # probe is installed by default, so unverified runs are untouched.
-        self.probe = probe
-
         # Fault injection and recovery (all dormant when faults is None).
         if faults is not None and faults.is_empty():
             faults = None  # zero-overhead guarantee: empty plan == no plan
@@ -294,19 +291,9 @@ class Simulator:
         self.cores_failed = 0
         self._injector = None
 
-        # Observability (repro.observability.Instrumentation, or None).
-        # Every emit site is guarded by one ``is not None`` check and no
-        # emit path touches simulator state or an RNG, so results with and
-        # without instrumentation are byte-identical (tested).
+        # Instrumentation handle for the schedulers' own policy-level
+        # events; simulator events reach it as a probe subscriber.
         self.obs = instrument
-        if instrument is not None:
-            self._m_traffic = instrument.registry.matrix(
-                "numa.traffic", (topology.n_sockets, topology.n_nodes)
-            )
-            if n_boxes > 1:
-                self._m_link = instrument.registry.matrix(
-                    "net.traffic", (n_boxes, n_boxes)
-                )
 
         self.scheduler = scheduler
         scheduler.attach(self, np.random.default_rng([self.seed, 0xA5]))
@@ -321,21 +308,22 @@ class Simulator:
             )
             self._injector.arm()
 
-        # Online invariant checking (DESIGN.md §11): opt-in per run via
-        # ``verify=True`` or globally via ``REPRO_VERIFY=1``.  The checker
-        # rides the same probe slot as a recorder, composed when both are
-        # present, and additionally watches the memory manager.
+        # The one hook channel (repro.runtime.probe), None without
+        # subscribers: recorder, instrumentation, then the invariant checker
+        # (``verify=True`` or ``REPRO_VERIFY=1``), which reads result.events.
+        subscribers = [p for p in (probe, instrument) if p is not None]
         if _verify_env() if verify is None else bool(verify):
             from ..verify.invariants import InvariantChecker
 
-            checker = InvariantChecker(self)
-            if self.probe is None:
-                self.probe = checker
-            else:
-                from ..verify.probe import CompositeProbe
-
-                self.probe = CompositeProbe([self.probe, checker])
-            self.memory.probe = checker
+            subscribers.append(InvariantChecker(self))
+        self.probe = None
+        if subscribers:
+            self.probe = (
+                subscribers[0] if len(subscribers) == 1
+                else CompositeProbe(subscribers)
+            )
+            self.probe.attach(self)
+        self.memory.probe = self.probe
 
     # ------------------------------------------------------------------
     # Public API used by schedulers
@@ -363,8 +351,6 @@ class Simulator:
             return
         if self.probe is not None:
             self.probe.on_reoffer([t.tid for t in tasks])
-        if self.obs is not None:
-            self.obs.emit(self.now, "sched.reoffer", n=len(tasks))
         leaving = {t.tid for t in tasks}
         self.parked = [t for t in self.parked if t.tid not in leaving]
         if self.parked_by_key:
@@ -462,12 +448,6 @@ class Simulator:
         self.cores_failed += 1
         if self.probe is not None:
             self.probe.on_fault("fail_core", core=core, duration=duration)
-        if self.obs is not None:
-            self.obs.emit(
-                self.now, "fault.core_failed",
-                core=core, socket=socket, transient=duration is not None,
-            )
-            self.obs.registry.counter("faults.cores_failed").inc()
         if core in self.idle_cores[socket]:
             self.idle_cores[socket].remove(core)
         # Let the scheduler remap its own state (e.g. RGP window
@@ -498,11 +478,6 @@ class Simulator:
             self.probe.on_fault("restore_core", core=core)
         self.quarantined.discard(core)
         self.idle_cores[self.topology.socket_of_core(core)].append(core)
-        if self.obs is not None:
-            self.obs.emit(
-                self.now, "fault.core_restored",
-                core=core, socket=self.topology.socket_of_core(core),
-            )
         notify = getattr(self.scheduler, "on_core_restored", None)
         if notify is not None:
             notify(core)
@@ -599,14 +574,6 @@ class Simulator:
         self.reexecutions += 1
         if self.probe is not None:
             self.probe.on_crash(rt, reason)
-        if self.obs is not None:
-            self.obs.emit(
-                self.now, "task.crash",
-                tid=task.tid, name=task.name, reason=reason,
-                attempt=int(self.attempts[task.tid]) - 1,
-            )
-            self.obs.registry.counter("tasks.crashed").inc()
-            self.obs.registry.counter("work.wasted").inc(wasted)
         n_failed = int(self.attempts[task.tid])
         if n_failed > self.max_retries:
             raise FaultError(
@@ -738,8 +705,6 @@ class Simulator:
             messages=self.messages,
             messages_dropped=self.messages_dropped,
         )
-        if self.obs is not None:
-            self._finalize_instrumentation(result)
         if self.probe is not None:
             self.probe.on_run_end(self, result)
         return result
@@ -766,22 +731,6 @@ class Simulator:
         if self.probe is not None:
             self.probe.on_abort(self)
 
-    def _finalize_instrumentation(self, result: SimulationResult) -> None:
-        """Close out the run's registry and attach the streams to the
-        result so exporters can consume them without the simulator."""
-        reg = self.obs.registry
-        for s in self.topology.sockets():
-            reg.gauge(f"socket.busy.s{s}").set(
-                self.now, float(self.busy_time[s])
-            )
-            capacity = self.now * self.topology.cores_per_socket
-            reg.gauge(f"socket.idle.s{s}").set(
-                self.now, max(0.0, capacity - float(self.busy_time[s]))
-            )
-        reg.gauge("makespan").set(self.now, self.now)
-        result.events = self.obs.events
-        result.metrics = reg.snapshot()
-
     # ------------------------------------------------------------------
     # Readiness and offering
     # ------------------------------------------------------------------
@@ -800,8 +749,6 @@ class Simulator:
             )
         if self.quarantined and not decision.park:
             decision = self._remap_placement(task, decision)
-        if self.probe is not None:
-            self.probe.on_offer(task, decision)
         if decision.park:
             self.parked.append(task)
             if decision.park_key is not None:
@@ -809,37 +756,18 @@ class Simulator:
                     decision.park_key, []
                 ).append(task)
             self.parked_total += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    self.now, "sched.place", tid=task.tid, target="park"
-                )
-                self.obs.registry.counter("place.park").inc()
         elif decision.core is not None:
             if not 0 <= decision.core < self.topology.n_cores:
                 raise SimulationError(f"placement core {decision.core} out of range")
             self.core_queues[decision.core].append(task)
-            if self.obs is not None:
-                self.obs.emit(
-                    self.now, "sched.place", tid=task.tid, target="core",
-                    core=decision.core,
-                    socket=self.topology.socket_of_core(decision.core),
-                )
-                self.obs.registry.counter("place.core").inc()
         else:
             if not 0 <= decision.socket < self.n_sockets:
                 raise SimulationError(
                     f"placement socket {decision.socket} out of range"
                 )
             self.socket_queues[decision.socket].append(task)
-            if self.obs is not None:
-                self.obs.emit(
-                    self.now, "sched.place", tid=task.tid, target="socket",
-                    socket=decision.socket,
-                )
-                self.obs.registry.counter("place.socket").inc()
-                self.obs.registry.gauge(
-                    f"queue.depth.s{decision.socket}"
-                ).set(self.now, len(self.socket_queues[decision.socket]))
+        if self.probe is not None:
+            self.probe.on_offer(task, decision)
 
     def _advance_empty_epochs(self) -> None:
         while (
@@ -847,10 +775,8 @@ class Simulator:
             and self.remaining_in_epoch[self.active_epoch] == 0
         ):
             self.active_epoch += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    self.now, "epoch.advance", epoch=self.active_epoch
-                )
+            if self.probe is not None:
+                self.probe.on_epoch(self.active_epoch)
             for task in self.held_by_epoch[self.active_epoch]:
                 self._offer(task)
             self.held_by_epoch[self.active_epoch] = []
@@ -882,12 +808,8 @@ class Simulator:
                     progress = True
             if self.steal_enabled and self._try_steal():
                 progress = True
-        if self.obs is not None:
-            reg = self.obs.registry
-            for s in range(self.n_sockets):
-                reg.gauge(f"queue.depth.s{s}").set(
-                    self.now, len(self.socket_queues[s])
-                )
+        if self.probe is not None:
+            self.probe.on_dispatch()
 
     def _try_steal(self) -> bool:
         """One round of distance-aware stealing; True if anything moved."""
@@ -904,13 +826,8 @@ class Simulator:
                     continue
                 core = idle_cores[s].pop()
                 self.steals += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        self.now, "sched.steal", tid=task.tid, thief=s,
-                        victim=victim,
-                        distance=float(self.topology.dist(s, victim)),
-                    )
-                    self.obs.registry.counter("steals").inc()
+                if self.probe is not None:
+                    self.probe.on_steal(task, s, victim)
                 self._start(task, core, s)
                 stole = True
                 break
@@ -964,15 +881,6 @@ class Simulator:
                 net_bytes += b
                 self.bytes_by_link[src_box, dst_box] += b
                 msgs.append((src_box, dst_box, b, self.now))
-                if self.obs is not None:
-                    self._m_link[src_box, dst_box] += b
-                    self.obs.emit(
-                        self.now, "msg.send",
-                        tid=task.tid, src_box=src_box, dst_box=dst_box,
-                        nbytes=b,
-                    )
-                    self.obs.registry.counter("net.messages").inc()
-                    self.obs.registry.counter("net.bytes").inc(b)
         return out, net_bytes
 
     def _start(self, task: Task, core: int, socket: int) -> None:
@@ -995,23 +903,6 @@ class Simulator:
                 local_bytes += b
             else:
                 remote_bytes += b
-
-        if self.obs is not None:
-            reg = self.obs.registry
-            for n, b in streams.items():
-                self._m_traffic[socket, n] += b
-            c_local = reg.counter("bytes.local")
-            c_remote = reg.counter("bytes.remote")
-            c_local.inc(local_bytes)
-            c_remote.inc(remote_bytes)
-            reg.gauge("bytes.local").set(self.now, c_local.value)
-            reg.gauge("bytes.remote").set(self.now, c_remote.value)
-            self.obs.emit(
-                self.now, "task.start",
-                tid=task.tid, name=task.name, core=core, socket=socket,
-                local_bytes=local_bytes, remote_bytes=remote_bytes,
-                attempt=int(self.attempts[task.tid]),
-            )
 
         net_bytes = 0.0
         if self._box_of_socket is not None:
@@ -1049,10 +940,6 @@ class Simulator:
                     )
         if self.probe is not None:
             self.probe.on_start(rt, factor, int(self.attempts[task.tid]))
-        if self.obs is not None:
-            self.obs.registry.gauge("cores.busy").set(
-                self.now, len(self.running)
-            )
         if self._injector is not None:
             self._injector.on_task_start(rt)
 
@@ -1090,32 +977,8 @@ class Simulator:
                         nbytes=nbytes, send=send, recv=self.now,
                     )
                 )
-                if self.obs is not None:
-                    self.obs.emit(
-                        self.now, "msg.recv",
-                        tid=task.tid, src_box=src_box, dst_box=dst_box,
-                        nbytes=nbytes, duration=self.now - send,
-                    )
         if self.probe is not None:
             self.probe.on_finish(rt)
-        if self.obs is not None:
-            reg = self.obs.registry
-            duration = self.now - rt.start
-            reg.counter("tasks.completed").inc()
-            reg.histogram("task.duration").observe(duration)
-            total = local_bytes + remote_bytes
-            if total > 0:
-                from ..observability.metrics import FRACTION_BOUNDS
-
-                reg.histogram(
-                    "task.remote_fraction", FRACTION_BOUNDS
-                ).observe(remote_bytes / total)
-            reg.gauge("cores.busy").set(self.now, len(self.running))
-            self.obs.emit(
-                self.now, "task.finish",
-                tid=task.tid, name=task.name, core=rt.core,
-                socket=rt.socket, duration=duration,
-            )
         self.scheduler.on_task_finished(task)
 
         self.remaining_in_epoch[task.epoch] -= 1
@@ -1124,19 +987,7 @@ class Simulator:
             if self.pending_deps[succ] == 0:
                 self._on_deps_satisfied(self.program.tasks[succ])
         # Epoch advance (may cascade through empty epochs).
-        while (
-            self.active_epoch + 1 < self.n_epochs
-            and self.remaining_in_epoch[self.active_epoch] == 0
-        ):
-            self.active_epoch += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    self.now, "epoch.advance", epoch=self.active_epoch
-                )
-            released = self.held_by_epoch[self.active_epoch]
-            self.held_by_epoch[self.active_epoch] = []
-            for held in released:
-                self._offer(held)
+        self._advance_empty_epochs()
 
     # ------------------------------------------------------------------
     def _stuck_tasks(self, limit: int = 8) -> str:

@@ -10,6 +10,7 @@ Three layers of correctness tooling for the simulator:
   harness behind ``repro verify fuzz``.
 """
 
+from ..runtime.probe import CompositeProbe, SimProbe
 from .differential import (
     DifferentialReport,
     Divergence,
@@ -24,7 +25,6 @@ from .differential import (
 from .fuzz import POLICY_MATRIX, FuzzReport, fuzz, make_case, make_strategies
 from .invariants import InvariantChecker
 from .oracle import NaiveMemory, OracleOutcome, OracleParams, ReferenceSimulator
-from .probe import CompositeProbe, SimProbe
 from .trace import DecisionRecorder, DecisionTrace, TraceEvent
 
 __all__ = [

@@ -370,7 +370,6 @@ def run_case(case: VerifyCase) -> DifferentialReport:
         probe=recorder,
         **case.sim_kwargs,
     )
-    recorder.attach(sim)
     try:
         result = sim.run()
     except ReproError as exc:

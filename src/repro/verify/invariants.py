@@ -1,6 +1,6 @@
 """Online invariant checking for the production simulator.
 
-The :class:`InvariantChecker` is a :class:`~repro.verify.probe.SimProbe`
+The :class:`InvariantChecker` is a :class:`~repro.runtime.probe.SimProbe`
 that asserts, *while the run unfolds*, the structural properties every
 simulated schedule must satisfy regardless of scheduler, fault plan or
 machine (DESIGN.md §11):
@@ -19,7 +19,10 @@ machine (DESIGN.md §11):
   ``parked_by_key`` are empty (a scheduler that forgets ``reoffer_key``
   leaks here);
 * **timestamp monotonicity** — the simulated clock and the emitted event
-  stream never go backwards.
+  stream never go backwards;
+* **engine slot state** — the fluid engine's busy slots are exactly the
+  running attempts, each busy slot's active-stream mask agrees with its
+  byte state and its node mirror, and idle slots hold nothing.
 
 The checker raises :class:`~repro.errors.VerificationError` (a real raise,
 not ``assert`` — it survives ``python -O``).  It is installed per run with
@@ -34,7 +37,8 @@ import numpy as np
 
 from ..errors import VerificationError
 from ..machine.memory import UNBOUND
-from .probe import SimProbe
+from ..runtime.engines import _EPS_BYTES
+from ..runtime.probe import SimProbe
 
 #: Slack for clock-monotonicity checks, matching the simulator's timer
 #: coalescing tolerance.
@@ -172,6 +176,40 @@ class InvariantChecker(SimProbe):
                 f"quarantined cores {sorted(seen & sim.quarantined)} are "
                 "in the idle lists"
             )
+        self._check_engine(sim, running_cores)
+
+    def _check_engine(self, sim, running_cores: set[int]) -> None:
+        """Busy slots in full; idle slots only for emptiness, so the cost
+        per loop stays O(cores) plus the busy slots' streams."""
+        engine = sim.engine
+        busy = engine.busy_slots
+        occupied = [s for s, rt in enumerate(engine.slot_rt) if rt is not None]
+        streaming = {s for s, nodes in enumerate(engine.slot_nodes) if nodes}
+        if (occupied != busy or set(busy) != running_cores
+                or not streaming <= running_cores):
+            self._fail(
+                f"engine slots diverged: busy list {busy}, occupied "
+                f"{occupied}, streaming {sorted(streaming)}, running cores "
+                f"{sorted(running_cores)}"
+            )
+        nodes = range(engine.n_nodes)
+        for slot in busy:
+            rt = engine.slot_rt[slot]
+            if rt.core != slot or sim.running.get(rt.task.tid) is not rt:
+                self._fail(f"engine slot {slot} holds a stale attempt")
+            row_b = engine.s_bytes[slot]
+            row_a = engine.s_active[slot]
+            if any(row_a[n] != (row_b[n] > _EPS_BYTES) for n in nodes):
+                self._fail(
+                    f"active-stream mask diverged from byte state in slot "
+                    f"{slot}"
+                )
+            mirror = [n for n in nodes if row_a[n]]
+            if mirror != engine.slot_nodes[slot]:
+                self._fail(
+                    f"slot-node mirror diverged from active mask for slot "
+                    f"{slot}: {engine.slot_nodes[slot]} vs {mirror}"
+                )
 
     def on_abort(self, sim) -> None:
         if sim.running:

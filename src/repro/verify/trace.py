@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .probe import SimProbe
+from ..runtime.probe import SimProbe
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,12 @@ class DecisionTrace:
     events: list[TraceEvent] = field(default_factory=list)
     injected: dict[str, int] = field(default_factory=dict)
 
-    def next_placement(self, tid: int):
-        """Pop the next recorded placement for ``tid`` (None if exhausted)."""
-        fifo = self.placements.get(tid)
-        if not fifo:
-            return None
-        return fifo.popleft()
-
 
 class DecisionRecorder(SimProbe):
     """Probe that fills a :class:`DecisionTrace` during a production run."""
 
     def __init__(self) -> None:
         self.trace = DecisionTrace()
-        self.sim = None
-
-    def attach(self, sim) -> None:
-        """Bind to the simulator whose ``probe=`` slot carries this probe."""
-        self.sim = sim
 
     def _event(self, kind: str, *data) -> None:
         self.trace.events.append(TraceEvent(self.sim.now, kind, data))
@@ -103,5 +91,5 @@ class DecisionRecorder(SimProbe):
         elif kind == "set_node_bw":
             self._event("bw", args["node"], args["factor"])
 
-    def on_inject(self, family: str) -> None:
+    def on_inject(self, family: str, **args) -> None:
         self.trace.injected[family] = self.trace.injected.get(family, 0) + 1

@@ -6,8 +6,9 @@ These tests pin the contracts it rides on:
 * rate-epoch drain against precomputed *absolute* deadlines leaves exact
   zero residues (no ``1e-12`` crumbs from incremental subtraction) on a
   10k-task serial chain;
-* ``REPRO_CHECK_CACHE=1`` arms the engine's internal mask/mirror oracle
-  without changing a single bit of the schedule;
+* ``REPRO_CHECK_CACHE=1`` arms the memory manager's placement-cache
+  recount without changing a single bit of the schedule (the engine's
+  mask/mirror check lives in the invariant checker);
 * a tiny wall-clock limit aborts promptly with every core returned to
   the idle pools (the ``_abort_run`` contract);
 * every committed corpus case and a few fresh fuzz cases (fault plans
@@ -117,9 +118,8 @@ class TestSerialChainDrain:
 
 
 class TestCheckModeEquivalence:
-    """Satellite 2: REPRO_CHECK_CACHE=1 arms the engine's internal oracle
-    (mask==bytes, slot-mirror consistency) and the schedule is unchanged
-    bit for bit."""
+    """REPRO_CHECK_CACHE=1 arms the placement-cache recount and the
+    schedule is unchanged bit for bit."""
 
     def test_check_mode_engines_agree(self, monkeypatch):
         topo = presets.by_name("four-socket")
@@ -130,7 +130,7 @@ class TestCheckModeEquivalence:
             sim = Simulator(
                 prog, topo, make_scheduler("rgp+las", window_size=8),
             )
-            assert sim.engine.check is bool(check)
+            assert sim.memory.check_cache is bool(check)
             results[check] = sim.run()
         checked, plain = results["1"], results[""]
         assert checked.makespan == plain.makespan

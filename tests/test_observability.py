@@ -340,3 +340,53 @@ class TestFigurePairAcceptance:
                 assert remote_s == pytest.approx(
                     result.bytes_by_pair[s].sum() - result.bytes_by_pair[s, s]
                 )
+
+
+# ----------------------------------------------------------------------
+# One hook channel: recorder, instrumentation and checker compose
+# ----------------------------------------------------------------------
+class TestOneChannel:
+    @pytest.mark.parametrize("label", [
+        "four-socket/rgp+las/faulted",
+        "four-socket/redblack/rgp+las",
+        "cluster16/rgp+las",
+    ])
+    def test_all_subscribers_match_recorder_only(self, label):
+        """All three subscribers on one channel: the schedule and the
+        oracle's decision trace equal a recorder-only run exactly."""
+        from repro.runtime import Simulator
+        from repro.runtime.probe import CompositeProbe
+        from repro.verify import DecisionRecorder, InvariantChecker
+        from test_flat_engine import fingerprint
+        from test_observability_golden import GRID
+
+        runs = []
+        for composed in (False, True):
+            program, topo, policy, kwargs, seed, faults = GRID[label]()
+            recorder = DecisionRecorder()
+            obs = Instrumentation(sink=RingBufferSink(None))
+            sim = Simulator(
+                program, topo, make_scheduler(policy, **kwargs), seed=seed,
+                faults=faults, probe=recorder,
+                instrument=obs if composed else None, verify=composed,
+            )
+            if composed:
+                assert isinstance(sim.probe, CompositeProbe)
+                assert [type(p) for p in sim.probe.probes] == [
+                    DecisionRecorder, Instrumentation, InvariantChecker,
+                ]
+                assert sim.memory.probe is sim.probe
+            else:
+                assert sim.probe is recorder
+            result = sim.run()
+            assert bool(result.events) == composed
+            runs.append((fingerprint(result), recorder.trace))
+        assert runs[0] == runs[1]
+
+    def test_traffic_matrices_equal_the_accumulators(self):
+        from test_observability_golden import instrumented
+
+        result, _ = instrumented("cluster16/rgp+las")
+        matrices = result.metrics["matrices"]
+        assert np.array_equal(matrices["numa.traffic"], result.bytes_by_pair)
+        assert np.array_equal(matrices["net.traffic"], result.bytes_by_link)

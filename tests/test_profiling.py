@@ -147,6 +147,29 @@ def test_profile_without_events_degrades_gracefully():
     assert report.totals["stall"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_truncated_event_stream_is_refused():
+    # A ring buffer that dropped the early sched.place events would hide
+    # the parked intervals: stall 2.0 silently became queue wait.
+    topo = presets.by_name("bullion-s16")
+    program = make_app("jacobi").build(topo.n_sockets)
+    runs = {}
+    for capacity in (None, 2000):
+        obs = Instrumentation(sink=RingBufferSink(capacity))
+        runs[capacity] = Simulator(
+            program, topo, make_scheduler("rgp+las", partition_delay=2.0),
+            seed=0, instrument=obs,
+        ).run()
+    full = runs[None]
+    assert full.events_dropped == 0
+    report = profile_run(program, full, topo)
+    assert report.totals["stall"] == pytest.approx(2.0)
+    assert report.totals["queue_wait"] == pytest.approx(33.29, abs=0.01)
+    truncated = runs[2000]
+    assert truncated.events_dropped == len(full.events) - 2000 == 3532
+    with pytest.raises(ProfilingError, match="dropped 3532 events"):
+        profile_run(program, truncated, topo)
+
+
 # ---------------------------------------------------------------------------
 # What-if estimators.
 

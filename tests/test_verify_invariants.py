@@ -152,6 +152,24 @@ def test_global_byte_reconcile_violation():
         checker.on_memory_op(sim.memory, "touch", key)
 
 
+def test_engine_slot_mirror_violation():
+    """Corrupting a busy slot's node mirror mid-run trips the loop check."""
+    sim = _sim(verify=True)
+    dispatch = sim._dispatch
+    rounds = []
+
+    def corrupting_dispatch():
+        dispatch()
+        rounds.append(None)
+        busy = sim.engine.busy_slots
+        if len(rounds) == 2 and busy:
+            sim.engine.slot_nodes[busy[0]].append(sim.engine.n_nodes - 1)
+
+    sim._dispatch = corrupting_dispatch
+    with pytest.raises(VerificationError, match="slot-node mirror"):
+        sim.run()
+
+
 # ----------------------------------------------------------------------
 # End-to-end: the armed checker stays silent on healthy runs
 # ----------------------------------------------------------------------

@@ -100,7 +100,6 @@ def _recorded_run(seed=5):
         interconnect=Interconnect(topo), seed=seed, probe=rec,
         duration_jitter=0.05,
     )
-    rec.attach(sim)
     result = sim.run()
     return program, topo, sim, rec.trace, result
 
